@@ -111,6 +111,8 @@ var hotAllowPkgs = map[string]bool{
 // errors.New, list.PushFront).
 var hotAllowSyms = map[string]bool{
 	"errors.Is":                       true,
+	"bytes.Equal":                     true,
+	"hash/maphash.Bytes":              true,
 	"context.Context.Value":           true,
 	"context.Context.Err":             true,
 	"context.Context.Done":            true,

@@ -641,12 +641,12 @@ const (
 )
 
 // launch issues one read RPC asynchronously, feeding the breaker and the
-// attempt counters, and delivers the outcome on resCh. Each attempt gets
-// its own span (client.primary / client.retry / client.hedge /
-// client.dual) so a trace shows exactly which attempt carried the winning
-// response; losers that finish after the request returns end their spans
-// with zero duration.
-func (c *Client) launch(ctx context.Context, tgt batchTarget, method string, payload []byte, kind attemptKind, resCh chan<- attemptResult) {
+// attempt counters, and delivers the outcome, labelled with tag, on
+// resCh. Each attempt gets its own span (client.primary / client.retry /
+// client.hedge / client.dual) so a trace shows exactly which attempt
+// carried the winning response; losers that finish after the request
+// returns end their spans with zero duration.
+func (c *Client) launch(ctx context.Context, tgt batchTarget, method string, payload []byte, kind attemptKind, tag int, resCh chan<- attemptResult) {
 	c.Attempts.Inc()
 	stage := trace.StageClientPrimary
 	switch kind {
@@ -674,7 +674,7 @@ func (c *Client) launch(ctx context.Context, tgt batchTarget, method string, pay
 		if kind == attemptHedge {
 			c.hedgeInFlight.Add(-1)
 		}
-		resCh <- attemptResult{raw: raw, err: err, hedged: kind == attemptHedge}
+		resCh <- attemptResult{raw: raw, err: err, hedged: kind == attemptHedge, tag: tag}
 	}()
 }
 
@@ -682,6 +682,8 @@ type attemptResult struct {
 	raw    []byte
 	err    error
 	hedged bool
+	// tag tells a batch group's split hedges apart (0 elsewhere).
+	tag int
 }
 
 // readCall routes one idempotent read. A key inside a migration window
@@ -730,7 +732,7 @@ func (c *Client) readCall(ctx context.Context, method string, payload []byte, id
 func (c *Client) oldOnlyRead(ctx context.Context, method string, payload []byte, old batchTarget, id model.ProfileID) ([]byte, error) {
 	c.budget.onPrimary()
 	ch := make(chan attemptResult, 1)
-	c.launch(ctx, old, method, payload, attemptDual, ch)
+	c.launch(ctx, old, method, payload, attemptDual, 0, ch)
 	if r := <-ch; r.err == nil {
 		c.DualWins.Inc()
 		return r.raw, nil
@@ -754,8 +756,8 @@ func (c *Client) dualRead(ctx context.Context, method string, payload []byte, au
 	c.budget.onPrimary()
 	authCh := make(chan attemptResult, 1)
 	oldCh := make(chan attemptResult, 1)
-	c.launch(ctx, auth, method, payload, attemptPrimary, authCh)
-	c.launch(ctx, old, method, payload, attemptDual, oldCh)
+	c.launch(ctx, auth, method, payload, attemptPrimary, 0, authCh)
+	c.launch(ctx, old, method, payload, attemptDual, 0, oldCh)
 	var authRes *attemptResult
 	for {
 		select {
@@ -813,7 +815,7 @@ func (c *Client) resilientCall(ctx context.Context, method string, payload []byt
 			if c.Breaker != nil && !c.Breaker.Allow(tgt.addr) {
 				continue
 			}
-			c.launch(ctx, tgt, method, payload, kind, resCh)
+			c.launch(ctx, tgt, method, payload, kind, 0, resCh)
 			inflight++
 			return true
 		}
@@ -824,6 +826,7 @@ func (c *Client) resilientCall(ctx context.Context, method string, payload []byt
 		// probes once their cooldowns elapse, so this clears itself.
 		return nil, ErrBreakerOpen
 	}
+	primaryRegion := cands[next-1].region
 
 	var hedgeTimer, retryTimer *time.Timer
 	var hedgeCh, retryCh <-chan time.Time
@@ -873,10 +876,28 @@ func (c *Client) resilientCall(ctx context.Context, method string, payload []byt
 		case <-hedgeCh:
 			hedgeCh = nil
 			if c.hedgeAcquire() {
+				c.hedgeFirst(cands, next, primaryRegion, id)
 				if !issue(attemptHedge) {
 					c.hedgeInFlight.Add(-1)
 				}
 			}
+		}
+	}
+}
+
+// hedgeFirst moves the first candidate at or after next that owns id in
+// a region other than the primary's up to position next, so the hedge
+// goes where the acknowledged writes are: writes land on one owner per
+// region, and a ring successor in the primary's region holds them only
+// once the owner has flushed. With no such candidate (a single region)
+// the ladder order stands.
+func (c *Client) hedgeFirst(cands []batchTarget, next int, primaryRegion string, id model.ProfileID) {
+	for j := next; j < len(cands); j++ {
+		t := cands[j]
+		if t.region != primaryRegion && c.route(t.region, id) == t.addr {
+			copy(cands[next+1:j+1], cands[next:j])
+			cands[next] = t
+			return
 		}
 	}
 }

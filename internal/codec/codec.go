@@ -152,6 +152,12 @@ func (e *Buffer) Raw(field uint32, v []byte) {
 	e.b = append(e.b, v...)
 }
 
+// Append writes pre-encoded field bytes verbatim — for splicing an
+// already-encoded run of fields into a message under construction.
+//
+//ips:hotpath
+func (e *Buffer) Append(v []byte) { e.b = append(e.b, v...) }
+
 // String encodes a length-delimited string field.
 //
 //ips:hotpath

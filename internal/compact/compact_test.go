@@ -399,8 +399,10 @@ func TestCompactorAsync(t *testing.T) {
 	const day = 24 * 3600 * 1000
 	now := model.Millis(40 * day)
 	c := NewCompactor(sch, store, func() model.Millis { return now })
-	c.Start()
 
+	// Enqueue before Start: a duplicate coalesces only while its profile
+	// is still queued, so with workers already running one could dequeue
+	// a profile between its two Enqueue calls and compact it twice.
 	profiles := make([]*model.Profile, 20)
 	for i := range profiles {
 		p := model.NewProfile(model.ProfileID(i))
@@ -413,6 +415,7 @@ func TestCompactorAsync(t *testing.T) {
 		c.Enqueue(p)
 		c.Enqueue(p) // duplicate: must coalesce
 	}
+	c.Start()
 	c.Close()
 
 	if got := c.Runs.Value(); got != 20 {

@@ -759,20 +759,20 @@ func (g *GCache) flushOne(id model.ProfileID) error {
 	return nil
 }
 
-// FlushAll synchronously persists every dirty resident profile.
+// FlushAll synchronously persists every dirty resident profile. It
+// snapshots the resident ids first and flushes with no table lock held:
+// eviction takes a profile's write lock and then the table shard's
+// (Table.Delete), so holding a shard read lock here while taking a
+// profile lock, or re-taking the shard lock through flushOne's
+// Table.Get, deadlocks against a concurrent eviction. flushOne itself
+// skips clean profiles.
 func (g *GCache) FlushAll() error {
 	var firstErr error
-	g.table.Each(func(p *model.Profile) bool {
-		p.RLock()
-		dirty := p.Dirty
-		p.RUnlock()
-		if dirty {
-			if err := g.flushOne(p.ID); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, id := range g.table.IDs() {
+		if err := g.flushOne(id); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		return true
-	})
+	}
 	return firstErr
 }
 

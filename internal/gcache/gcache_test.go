@@ -525,3 +525,63 @@ func BenchmarkCacheAdd(b *testing.B) {
 }
 
 var _ = fmt.Sprintf
+
+// TestFlushAllDuringEvictionStorm pins FlushAll against concurrent
+// eviction: FlushAll must not hold a table shard's read lock while it
+// flushes, because the flush re-takes that lock and an evicting
+// Table.Delete queued in between would block both forever. Writers keep
+// profiles dirty and evictors keep deleting while FlushAll loops; the
+// whole storm must finish inside the deadline.
+func TestFlushAllDuringEvictionStorm(t *testing.T) {
+	g, _, _ := newCache(t, Options{MemLimit: 4_000, MemLowWater: 2_000, LRUShards: 2})
+	const profiles = 64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := model.ProfileID(i%profiles + 1)
+				_ = g.Add(id, model.Millis(1000+i), 1, 1, model.FeatureID(w), []int64{1, 0})
+			}
+		}(w)
+	}
+	for e := 0; e < 2; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g.EvictToWatermark()
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 300 && err == nil; i++ {
+			err = g.FlushAll()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("FlushAll: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("FlushAll deadlocked against a concurrent eviction storm")
+	}
+}

@@ -325,26 +325,6 @@ func RunScratch(p *model.Profile, schema *model.Schema, req Request, now model.M
 	return runOnSlices(p.Slices(), schema, req, now, p.Latest(), sc)
 }
 
-// RunMany executes several requests against the same profile under a
-// single acquisition of its read lock, at the same query time. This is the
-// engine half of the batch query path: when a batch RPC carries multiple
-// sub-queries for one profile (a ranking request scoring many candidate
-// windows of the same user), the profile is locked and its slice list
-// walked once per request but fetched/pinned only once. Results and errors
-// are per-request, in input order.
-func RunMany(p *model.Profile, schema *model.Schema, reqs []Request, now model.Millis) ([]Result, []error) {
-	results := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
-	p.RLock()
-	defer p.RUnlock()
-	slices, latest := p.Slices(), p.Latest()
-	for i := range reqs {
-		var sc Scratch
-		results[i], errs[i] = runOnSlices(slices, schema, reqs[i], now, latest, &sc)
-	}
-	return results, errs
-}
-
 // RunSealed is Run for a profile the caller guarantees no writer can
 // reach — GCache's hot read replicas, which are private clones
 // invalidated (never mutated) on write. Skipping the read lock matters
@@ -362,19 +342,6 @@ func RunSealed(p *model.Profile, schema *model.Schema, req Request, now model.Mi
 //ips:hotpath
 func RunSealedScratch(p *model.Profile, schema *model.Schema, req Request, now model.Millis, sc *Scratch) (Result, error) {
 	return runOnSlices(p.Slices(), schema, req, now, p.Latest(), sc)
-}
-
-// RunManySealed is RunMany minus the lock, under the same immutability
-// contract as RunSealed.
-func RunManySealed(p *model.Profile, schema *model.Schema, reqs []Request, now model.Millis) ([]Result, []error) {
-	results := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
-	slices, latest := p.Slices(), p.Latest()
-	for i := range reqs {
-		var sc Scratch
-		results[i], errs[i] = runOnSlices(slices, schema, reqs[i], now, latest, &sc)
-	}
-	return results, errs
 }
 
 // RunOnSlices executes the request against an explicit slice list (newest

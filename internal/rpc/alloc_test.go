@@ -1,9 +1,13 @@
+//go:build !race
+
 package rpc
 
 // Allocation gates for the frame layer: encode into a reused buffer,
 // read+parse through a reused per-connection buffer. These are the
 // transport stages of the zero-allocation read path; the end-to-end gate
-// lives in internal/server.
+// lives in internal/server. Like every AllocsPerRun gate they build only
+// without -race, whose instrumentation allocates; CI's alloc job runs
+// them race-free.
 
 import (
 	"bytes"

@@ -1,3 +1,5 @@
+//go:build !race
+
 package server
 
 // Allocation gates for the served read path — the tentpole claim the
@@ -6,7 +8,9 @@ package server
 // server, end to end (request decode → cache lookup → feature compute →
 // response encode). CI runs these with the race-free default build; a
 // regression in any pooled layer (interner, query scratch, response
-// buffer, hot slots) fails the gate.
+// buffer, hot slots) fails the gate. The !race constraint keeps them out
+// of -race runs, whose instrumentation allocates; CI's alloc job runs
+// them race-free, so the gate still holds on every commit.
 
 import (
 	"context"

@@ -251,18 +251,23 @@ func TestCompactionTriggeredByWrites(t *testing.T) {
 	in, clock := newInstance(t, func(c *config.Config) {
 		c.PartialCompactThreshold = 8
 	})
-	// Spread writes over many head-width windows to grow the slice list.
+	// Spread writes over many head-width windows to grow the slice list:
+	// one slice per window when nothing compacts.
+	const windows = 100
 	base := clock.Now()
-	for i := 0; i < 100; i++ {
+	for i := 0; i < windows; i++ {
 		addOne(t, in, 5, base-model.Millis(i)*60_000, 7, []int64{1, 0})
 	}
-	// Force synchronous maintenance and verify the slice list shrank.
+	// Force synchronous maintenance and verify the slice list shrank. The
+	// writes already queued the profile for background compaction, which
+	// may have run first; so the list is judged against its uncompacted
+	// length, not against what CompactNow itself found.
 	st, err := in.CompactNow("up", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlicesAfter >= st.SlicesBefore && st.SlicesBefore > 8 {
-		t.Fatalf("compaction ineffective: %d -> %d", st.SlicesBefore, st.SlicesAfter)
+	if st.SlicesAfter >= windows || st.SlicesAfter > st.SlicesBefore {
+		t.Fatalf("compaction ineffective: %d windows, %d -> %d slices", windows, st.SlicesBefore, st.SlicesAfter)
 	}
 	// All data still present.
 	resp := topK(t, in, 5, 365*24*3_600_000, 1)

@@ -56,6 +56,46 @@ func (s *Service) fastQuery(ctx context.Context, payload, dst []byte) ([]byte, e
 	return wire.AppendQueryResponse(dst, &qs.resp), nil
 }
 
+// queryBatchV2 is the ips.query_batch2 handler: decode into the pooled
+// executor's request storage (strings interned), run the batch
+// executor, and return its frame. A warmed handler allocates a small
+// constant per batch, whatever its size (see TestBatchHandlerAllocs).
+func (s *Service) queryBatchV2(ctx context.Context, payload []byte) ([]byte, error) {
+	ex := batchExecPool.Get().(*batchExec)
+	defer ex.release()
+	if err := s.runBatchPayload(ctx, ex, payload); err != nil {
+		return nil, err
+	}
+	// The rpc layer writes the returned payload after the executor is
+	// back in the pool: hand it an exact-size copy.
+	return append([]byte(nil), ex.frame...), nil
+}
+
+// queryBatchV1 is the legacy ips.query_batch handler: the same executor,
+// its v2 frame decoded and re-encoded one response per slot.
+func (s *Service) queryBatchV1(ctx context.Context, payload []byte) ([]byte, error) {
+	ex := batchExecPool.Get().(*batchExec)
+	defer ex.release()
+	if err := s.runBatchPayload(ctx, ex, payload); err != nil {
+		return nil, err
+	}
+	resp, err := wire.DecodeQueryBatchResponseV2(ex.frame)
+	if err != nil {
+		return nil, err
+	}
+	return wire.EncodeQueryBatchResponse(resp), nil
+}
+
+// runBatchPayload decodes a batch request into ex and runs it, leaving
+// the v2 frame in ex.frame.
+func (s *Service) runBatchPayload(ctx context.Context, ex *batchExec, payload []byte) error {
+	if err := wire.DecodeQueryBatchInto(payload, &ex.req, &s.interner); err != nil {
+		return err
+	}
+	ex.frame = s.in.runBatch(ctx, ex, ex.req.Caller, ex.req.Subs, ex.frame[:0])
+	return nil
+}
+
 // NewService wraps in and registers its handlers on a fresh RPC server.
 // The instance's tracer (if any) becomes the RPC server's, so untraced
 // requests can still be sampled server-side.
@@ -146,26 +186,14 @@ func (s *Service) register() {
 	s.srv.HandleFast(wire.MethodFilter, s.fastQuery)
 	s.srv.HandleFast(wire.MethodDecay, s.fastQuery)
 
-	s.srv.HandleCtx(wire.MethodQueryBatch, func(ctx context.Context, payload []byte) ([]byte, error) {
-		req, err := wire.DecodeQueryBatch(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp := &wire.BatchQueryResponse{Results: s.in.QueryBatchCtx(ctx, req.Caller, req.Subs)}
-		return wire.EncodeQueryBatchResponse(resp), nil
-	})
-
+	// Batch reads stay on goroutine (HandleCtx) dispatch: a batch runs
+	// for hundreds of microseconds, and run inline it would stall every
+	// single read queued behind it on the same pooled connection.
+	s.srv.HandleCtx(wire.MethodQueryBatch, s.queryBatchV1)
 	// Batch v2: identical request payload, shared-structure response —
 	// each distinct response body is encoded once and duplicate slots
 	// carry references (DESIGN.md "Batch v2").
-	s.srv.HandleCtx(wire.MethodQueryBatchV2, func(ctx context.Context, payload []byte) ([]byte, error) {
-		req, err := wire.DecodeQueryBatch(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp := &wire.BatchQueryResponse{Results: s.in.QueryBatchCtx(ctx, req.Caller, req.Subs)}
-		return wire.EncodeQueryBatchResponseV2(resp), nil
-	})
+	s.srv.HandleCtx(wire.MethodQueryBatchV2, s.queryBatchV2)
 
 	s.srv.Handle(wire.MethodStats, func(p []byte) ([]byte, error) {
 		return wire.EncodeStats(s.in.Stats()), nil

@@ -1,10 +1,13 @@
+//go:build !race
+
 package trace
 
 // Allocation pin for the sampled-out path: when a request loses the
 // sampling draw (or tracing is disabled entirely), starting and ending
 // spans must be free — no context allocation, no span storage, nothing.
 // This is the contract that lets the read path keep its tracing
-// call sites unconditionally.
+// call sites unconditionally. The pins build only without -race, whose
+// instrumentation allocates; CI's alloc job runs them race-free.
 
 import (
 	"context"

@@ -79,86 +79,125 @@ const (
 	fBRResp = 2
 )
 
-// EncodeQueryBatch serializes a BatchQueryRequest. Each sub-query embeds
-// its QueryRequest via the single-query codec, so the two paths cannot
-// drift apart.
+// EncodeQueryBatch serializes a BatchQueryRequest into a fresh slice.
 func EncodeQueryBatch(r *BatchQueryRequest) []byte {
+	return AppendQueryBatch(nil, r)
+}
+
+// AppendQueryBatch serializes a BatchQueryRequest into dst's storage and
+// returns the extended slice. Each sub-query embeds its QueryRequest
+// through the single-query field encoder, so the two paths cannot drift
+// apart, and nested messages use the closure-free BeginMessage/EndMessage
+// pair: with a reused dst the encode allocates nothing.
+//
+//ips:hotpath
+func AppendQueryBatch(dst []byte, r *BatchQueryRequest) []byte {
 	var e codec.Buffer
+	e.Attach(dst)
 	e.String(fBQCaller, r.Caller)
 	for i := range r.Subs {
 		sub := &r.Subs[i]
-		e.Message(fBQSub, func(b *codec.Buffer) {
-			b.Uint32(fSubOp, uint32(sub.Op))
-			b.Raw(fSubQuery, EncodeQuery(&sub.Query))
-		})
+		start := e.BeginMessage(fBQSub)
+		e.Uint32(fSubOp, uint32(sub.Op))
+		qstart := e.BeginMessage(fSubQuery)
+		appendQueryFields(&e, &sub.Query)
+		e.EndMessage(qstart)
+		e.EndMessage(start)
 	}
-	return append([]byte(nil), e.Bytes()...)
+	return e.Detach()
 }
 
-// DecodeQueryBatch parses a BatchQueryRequest.
+// DecodeQueryBatch parses a BatchQueryRequest into fresh storage.
 func DecodeQueryBatch(data []byte) (*BatchQueryRequest, error) {
 	r := &BatchQueryRequest{}
-	rd := codec.NewReader(data)
-	for !rd.Done() {
-		f, wt, err := rd.Next()
-		if err != nil {
-			return nil, decodeErr("batch", err)
-		}
-		switch f {
-		case fBQCaller:
-			if r.Caller, err = rd.String(); err != nil {
-				return nil, decodeErr("batch caller", err)
-			}
-		case fBQSub:
-			sub, err := rd.Message()
-			if err != nil {
-				return nil, decodeErr("batch sub", err)
-			}
-			sq, err := decodeSubQuery(sub)
-			if err != nil {
-				return nil, err
-			}
-			r.Subs = append(r.Subs, sq)
-		default:
-			if err := rd.Skip(wt); err != nil {
-				return nil, decodeErr("batch skip", err)
-			}
-		}
+	if err := DecodeQueryBatchInto(data, r, nil); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-func decodeSubQuery(rd *codec.Reader) (SubQuery, error) {
-	var sq SubQuery
+// DecodeQueryBatchInto parses a BatchQueryRequest into caller-owned
+// (typically pooled) storage, reusing its Subs slice and each sub-query's
+// FIDs storage. Strings go through the Interner (nil copies), so a warmed
+// decode of a steady-state batch allocates nothing.
+//
+//ips:hotpath
+func DecodeQueryBatchInto(data []byte, r *BatchQueryRequest, in *Interner) error {
+	subs := r.Subs[:0]
+	r.Caller = ""
+	var rd codec.Reader
+	rd.Reset(data)
 	for !rd.Done() {
 		f, wt, err := rd.Next()
 		if err != nil {
-			return sq, decodeErr("sub field", err)
+			return decodeErr("batch", err)
+		}
+		switch f {
+		case fBQCaller:
+			var b []byte
+			if b, err = rd.Bytes(); err != nil {
+				return decodeErr("batch caller", err)
+			}
+			r.Caller = in.Intern(b)
+		case fBQSub:
+			var sub codec.Reader
+			if err := rd.Sub(&sub); err != nil {
+				return decodeErr("batch sub", err)
+			}
+			// Reuse the element (and its FIDs backing) when one is
+			// resident from an earlier decode.
+			if n := len(subs); n < cap(subs) {
+				subs = subs[:n+1]
+			} else {
+				//ipslint:ignore hotpathalloc pooled request storage grows to the largest batch once, then is reused
+				subs = append(subs, SubQuery{})
+			}
+			if err := decodeSubQueryInto(&sub, &subs[len(subs)-1], in); err != nil {
+				r.Subs = subs
+				return err
+			}
+		default:
+			if err := rd.Skip(wt); err != nil {
+				return decodeErr("batch skip", err)
+			}
+		}
+	}
+	r.Subs = subs
+	return nil
+}
+
+//ips:hotpath
+func decodeSubQueryInto(rd *codec.Reader, sq *SubQuery, in *Interner) error {
+	fids := sq.Query.FIDs[:0]
+	*sq = SubQuery{}
+	sq.Query.FIDs = fids
+	for !rd.Done() {
+		f, wt, err := rd.Next()
+		if err != nil {
+			return decodeErr("sub field", err)
 		}
 		switch f {
 		case fSubOp:
 			var v uint32
 			if v, err = rd.Uint32(); err != nil {
-				return sq, decodeErr("sub op", err)
+				return decodeErr("sub op", err)
 			}
 			sq.Op = BatchOp(v)
 		case fSubQuery:
 			raw, err := rd.Bytes()
 			if err != nil {
-				return sq, decodeErr("sub query", err)
+				return decodeErr("sub query", err)
 			}
-			q, err := DecodeQuery(raw)
-			if err != nil {
-				return sq, err
+			if err := DecodeQueryInto(raw, &sq.Query, in); err != nil {
+				return err
 			}
-			sq.Query = *q
 		default:
 			if err := rd.Skip(wt); err != nil {
-				return sq, decodeErr("sub skip", err)
+				return decodeErr("sub skip", err)
 			}
 		}
 	}
-	return sq, nil
+	return nil
 }
 
 // EncodeQueryBatchResponse serializes a BatchQueryResponse. The response
@@ -168,14 +207,16 @@ func EncodeQueryBatchResponse(r *BatchQueryResponse) []byte {
 	var e codec.Buffer
 	for i := range r.Results {
 		br := &r.Results[i]
-		e.Message(fBRResult, func(b *codec.Buffer) {
-			b.String(fBRErr, br.Err)
-			if br.Resp != nil {
-				b.Raw(fBRResp, EncodeQueryResponse(br.Resp))
-			}
-		})
+		start := e.BeginMessage(fBRResult)
+		e.String(fBRErr, br.Err)
+		if br.Resp != nil {
+			rstart := e.BeginMessage(fBRResp)
+			appendQueryResponseFields(&e, br.Resp)
+			e.EndMessage(rstart)
+		}
+		e.EndMessage(start)
 	}
-	return append([]byte(nil), e.Bytes()...)
+	return e.Detach()
 }
 
 // DecodeQueryBatchResponse parses a BatchQueryResponse.

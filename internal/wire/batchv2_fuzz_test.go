@@ -159,3 +159,52 @@ func TestBatchV2MatchesV1(t *testing.T) {
 		t.Logf("dup %d: v1=%dB v2=%dB (%.1f%%)", dup, len(v1), len(v2), 100*float64(len(v2))/float64(len(v1)))
 	}
 }
+
+// TestBatchV2DedupeCollisions forces every response hash to one value,
+// so every lookup goes through the byte compare: distinct responses must
+// still get distinct blobs, and only equal ones may share a reference.
+func TestBatchV2DedupeCollisions(t *testing.T) {
+	resp := func(fid uint64, nanos int64) *QueryResponse {
+		return &QueryResponse{ServerNanos: nanos, CacheHit: true,
+			Features: []query.Feature{{FID: fid, Counts: []int64{int64(fid), 1}}}}
+	}
+	in := &BatchQueryResponse{Results: []BatchResult{
+		{Resp: resp(1, 5)}, {Resp: resp(2, 5)}, {Resp: resp(1, 5)},
+		{Resp: resp(1, 6)}, {Err: "boom"}, {Resp: resp(2, 5)}, {Resp: &QueryResponse{}},
+	}}
+	var slots []BatchSlot
+	for _, br := range in.Results {
+		s := BatchSlot{Err: br.Err}
+		if br.Resp != nil {
+			s.OK, s.CacheHit, s.ServerNanos = true, br.Resp.CacheHit, br.Resp.ServerNanos
+			s.Feats = AppendQueryFeatures(nil, br.Resp.Features)
+		}
+		slots = append(slots, s)
+	}
+	for _, collide := range []bool{false, true} {
+		enc := BatchV2Encoder{collide: collide}
+		frame := enc.Append(nil, slots)
+		if want := EncodeQueryBatchResponseV2(in); !reflect.DeepEqual(frame, want) {
+			t.Fatalf("collide=%v: encoder frame differs from EncodeQueryBatchResponseV2", collide)
+		}
+		got, err := DecodeQueryBatchResponseV2(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := got.Results
+		if r[0].Resp != r[2].Resp || r[1].Resp != r[5].Resp {
+			t.Fatalf("collide=%v: equal responses must share one blob", collide)
+		}
+		distinct := []*QueryResponse{r[0].Resp, r[1].Resp, r[3].Resp, r[6].Resp}
+		for i := range distinct {
+			for j := i + 1; j < len(distinct); j++ {
+				if distinct[i] == distinct[j] {
+					t.Fatalf("collide=%v: distinct responses %d and %d share a reference", collide, i, j)
+				}
+			}
+		}
+		if !reflect.DeepEqual(normalizeBatchResp(got), normalizeBatchResp(in)) {
+			t.Fatalf("collide=%v: decoded %+v, want %+v", collide, got, in)
+		}
+	}
+}

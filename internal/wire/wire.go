@@ -96,7 +96,16 @@ type QueryRequest struct {
 // ToQuery converts the wire request into the engine's Request.
 //
 //ips:hotpath
-func (q *QueryRequest) ToQuery() query.Request {
+func (q *QueryRequest) ToQuery() query.Request { return q.ToQueryInto(nil) }
+
+// ToQueryInto is ToQuery with caller-owned filter storage: when the
+// request filters, f is reset (its FIDs map cleared in place) and used as
+// the Request's Filter, so a reused f makes filtered conversions
+// allocation-free. A nil f allocates a fresh Filter when one is needed.
+// The Request aliases f until f's next use.
+//
+//ips:hotpath
+func (q *QueryRequest) ToQueryInto(f *query.Filter) query.Request {
 	req := query.Request{
 		Slot:        q.Slot,
 		Type:        q.Type,
@@ -109,14 +118,23 @@ func (q *QueryRequest) ToQuery() query.Request {
 		DecayFactor: q.DecayFactor,
 	}
 	if q.MinCount > 0 || len(q.FIDs) > 0 {
-		//ipslint:ignore hotpathalloc filtered queries leave the steady-state topK path
-		f := &query.Filter{MinCount: q.MinCount}
+		if f == nil {
+			//ipslint:ignore hotpathalloc callers without filter storage pay one Filter per filtered query
+			f = &query.Filter{}
+		}
+		fids := f.FIDs
+		*f = query.Filter{MinCount: q.MinCount}
 		if len(q.FIDs) > 0 {
-			//ipslint:ignore hotpathalloc filtered queries leave the steady-state topK path
-			f.FIDs = make(map[model.FeatureID]bool, len(q.FIDs))
-			for _, fid := range q.FIDs {
-				f.FIDs[fid] = true
+			if fids == nil {
+				//ipslint:ignore hotpathalloc a filter's FID set is built once per storage and cleared in place after
+				fids = make(map[model.FeatureID]bool, len(q.FIDs))
+			} else {
+				clear(fids)
 			}
+			for _, fid := range q.FIDs {
+				fids[fid] = true
+			}
+			f.FIDs = fids
 		}
 		req.Filter = f
 	}
@@ -371,6 +389,16 @@ func EncodeQuery(q *QueryRequest) []byte {
 func AppendQuery(dst []byte, q *QueryRequest) []byte {
 	var e codec.Buffer
 	e.Attach(dst)
+	appendQueryFields(&e, q)
+	return e.Detach()
+}
+
+// appendQueryFields writes q's fields into an attached buffer; shared by
+// the top-level request encode and the nested sub-query message of a
+// batch (batch.go).
+//
+//ips:hotpath
+func appendQueryFields(e *codec.Buffer, q *QueryRequest) {
 	e.String(fQCaller, q.Caller)
 	e.String(fQTable, q.Table)
 	e.Uint64(fQProfile, q.ProfileID)
@@ -392,7 +420,6 @@ func AppendQuery(dst []byte, q *QueryRequest) []byte {
 	}
 	e.String(fQUDAFName, q.UDAFName)
 	e.Float64(fQMinScore, q.MinScore)
-	return e.Detach()
 }
 
 // DecodeQuery parses a QueryRequest.
@@ -514,8 +541,29 @@ func AppendQueryResponse(dst []byte, r *QueryResponse) []byte {
 //
 //ips:hotpath
 func appendQueryResponseFields(e *codec.Buffer, r *QueryResponse) {
-	for i := range r.Features {
-		feat := &r.Features[i]
+	appendFeatureFields(e, r.Features)
+	appendResponseTrailer(e, r.SlicesScanned, r.CacheHit, r.ServerNanos, r.WalLSN)
+}
+
+// AppendQueryFeatures appends the encoded feature messages of a
+// QueryResponse — the part of the encoding that aliases query scratch —
+// to dst. A response's full encoding is these bytes followed by its
+// scalar trailer, which is how the batch executor encodes a sub-query's
+// features before reusing the scratch and adds the trailer at frame
+// assembly (batchv2.go).
+//
+//ips:hotpath
+func AppendQueryFeatures(dst []byte, feats []query.Feature) []byte {
+	var e codec.Buffer
+	e.Attach(dst)
+	appendFeatureFields(&e, feats)
+	return e.Detach()
+}
+
+//ips:hotpath
+func appendFeatureFields(e *codec.Buffer, feats []query.Feature) {
+	for i := range feats {
+		feat := &feats[i]
 		start := e.BeginMessage(fRFeature)
 		e.Uint64(fFeatFID, feat.FID)
 		e.PackedI64(fFeatCounts, feat.Counts)
@@ -523,11 +571,18 @@ func appendQueryResponseFields(e *codec.Buffer, r *QueryResponse) {
 		e.Float64(fFeatScore, feat.Score)
 		e.EndMessage(start)
 	}
-	e.Int64(fRScanned, int64(r.SlicesScanned))
-	e.Bool(fRHit, r.CacheHit)
-	e.Int64(fRNanos, r.ServerNanos)
-	if r.WalLSN != 0 {
-		e.Uint64(fRWal, r.WalLSN)
+}
+
+// appendResponseTrailer writes a QueryResponse's scalar fields, which
+// follow its feature messages.
+//
+//ips:hotpath
+func appendResponseTrailer(e *codec.Buffer, scanned int, hit bool, nanos int64, wal uint64) {
+	e.Int64(fRScanned, int64(scanned))
+	e.Bool(fRHit, hit)
+	e.Int64(fRNanos, nanos)
+	if wal != 0 {
+		e.Uint64(fRWal, wal)
 	}
 }
 
